@@ -695,7 +695,7 @@ let run_certify bench use_cases seed freq slots nis xy json from jobs spec_file 
   | Ok spec -> (
     let module C = Noc_analysis.Certify in
     let finish cert =
-      if json then print_endline (Noc_export.Json.to_string ~indent:2 (C.to_json cert))
+      if json then print_endline (C.to_string ~indent:2 cert)
       else print_string (C.render_text cert);
       match C.exit_code cert with 0 -> `Ok () | n -> exit n
     in

@@ -1,13 +1,14 @@
 (* The engine-independent certificate checker.
 
    Everything here is re-derived from the design record itself with
-   deliberately naive code: claims are rebuilt from the routes' start
+   deliberately simple code: claims are rebuilt from the routes' start
    slots by the TDMA discipline's definition (start t claims slot t+i
    on the i-th link), paths are walked link by link with
-   Mesh.link_endpoints, and the worst-case latency bound is found by
-   brute force over every arrival offset of the revolution.  Nothing
-   is shared with Tdma, Path_select or Verify on purpose: an auditor
-   that reuses the auditee's code inherits its bugs. *)
+   Mesh.link_endpoints, and the worst-case latency bound is the worst
+   wait over every arrival offset of the revolution, read off the
+   sorted starts.  Nothing is shared with Tdma, Path_select or Verify
+   on purpose: an auditor that reuses the auditee's code inherits its
+   bugs. *)
 
 module Config = Noc_arch.Noc_config
 module Mesh = Noc_arch.Mesh
@@ -60,46 +61,33 @@ let exit_code t = if clean t then 0 else 2
 
 (* A payload arriving at the head of slot [t] launches at the next
    reserved starting slot (possibly [t] itself), spends one slot
-   crossing the NI/first link and one more per further hop.  The bound
-   is the worst such launch-to-delivery distance over every arrival
-   offset of the revolution — pure table inspection, no simulation. *)
-let static_bound_ns ~config ~slot_starts ~hops =
-  let slot_ns = Config.slot_duration_ns config in
-  if hops = 0 then slot_ns
-  else
-    match slot_starts with
-    | [] -> infinity
-    | starts ->
-      let slots = config.Config.slots in
-      let reserved = Array.make slots false in
-      List.iter (fun s -> reserved.(((s mod slots) + slots) mod slots) <- true) starts;
-      let worst = ref 0 in
-      for t = 0 to slots - 1 do
-        let w = ref 0 in
-        while not reserved.((t + !w) mod slots) do
-          incr w
-        done;
-        if !w > !worst then worst := !w
-      done;
-      float_of_int (!worst + 1 + hops) *. slot_ns
+   crossing the NI/first link and one more per further hop.  The worst
+   wait over every arrival offset of the revolution is the largest
+   circular gap between consecutive distinct reserved starts, less
+   one: the arrival just after a start waits out the whole gap.  Pure
+   table inspection, no simulation. *)
+let worst_wait ~slots starts =
+  let a = Array.of_list starts in
+  let n = Array.length a in
+  if n = 0 then invalid_arg "Certify.worst_wait: no reserved starts";
+  Array.iteri (fun i s -> a.(i) <- ((s mod slots) + slots) mod slots) a;
+  Array.sort Int.compare a;
+  let gap = ref (a.(0) + slots - a.(n - 1)) in
+  for i = 1 to n - 1 do
+    if a.(i) - a.(i - 1) > !gap then gap := a.(i) - a.(i - 1)
+  done;
+  !gap - 1
 
-(* Worst service gap in slots (arrival-to-launch plus the launch slot
-   itself): the window a source-side NI buffer must absorb. *)
-let worst_service_gap ~slots ~slot_starts =
-  match slot_starts with
-  | [] -> slots
-  | starts ->
-    let reserved = Array.make slots false in
-    List.iter (fun s -> reserved.(((s mod slots) + slots) mod slots) <- true) starts;
-    let worst = ref 0 in
-    for t = 0 to slots - 1 do
-      let w = ref 0 in
-      while not reserved.((t + !w) mod slots) do
-        incr w
-      done;
-      if !w > !worst then worst := !w
-    done;
-    !worst + 1
+(* Same-switch delivery costs one slot; links without reserved starts
+   are unbounded.  [wait] is only forced when the route has both. *)
+let bound_ns ~slot_ns ~hops ~slot_starts ~wait =
+  if hops = 0 then slot_ns
+  else if slot_starts = [] then infinity
+  else float_of_int (wait () + 1 + hops) *. slot_ns
+
+let static_bound_ns ~config ~slot_starts ~hops =
+  bound_ns ~slot_ns:(Config.slot_duration_ns config) ~hops ~slot_starts ~wait:(fun () ->
+      worst_wait ~slots:config.Config.slots slot_starts)
 
 (* --- the checker ------------------------------------------------------- *)
 
@@ -180,12 +168,7 @@ let certify ?(name = "design") (m : Mapping.t) use_cases =
          fail "shape" (Printf.sprintf "use-case %d belongs to no group" uc)
        end)
      seen);
-  if not !shape_ok then begin
-    (* Per-use-case bookkeeping below indexes states and groups by id;
-       with a broken shape those reads are meaningless (or unsafe), so
-       the certificate stops at the structural refutation. *)
-    let findings = List.rev !findings in
-    let payload_signature = Digest.to_hex (Digest.string (name ^ string_of_int !checks)) in
+  let record ~bounds ~ni_buffer_words =
     {
       design = name;
       digest = Codec.digest m;
@@ -193,29 +176,46 @@ let certify ?(name = "design") (m : Mapping.t) use_cases =
       use_cases = n_ucs;
       routes = List.length m.Mapping.routes;
       checks = !checks;
-      findings;
-      bounds = [];
-      ni_buffer_words = [];
-      signature = payload_signature;
+      findings = List.rev !findings;
+      bounds;
+      ni_buffer_words;
+      signature = "";
     }
-  end
+  in
+  if not !shape_ok then
+    (* Per-use-case bookkeeping below indexes states and groups by id;
+       with a broken shape those reads are meaningless (or unsafe), so
+       the certificate stops at the structural refutation. *)
+    record ~bounds:[] ~ni_buffer_words:[]
   else begin
-    (* Routes indexed by use-case. *)
+    (* Routes by position, and each use-case's route positions in
+       route order. *)
+    let routes = Array.of_list m.Mapping.routes in
     let routes_of = Array.make n_ucs [] in
-    List.iter
-      (fun r ->
+    Array.iteri
+      (fun i (r : Route.t) ->
         let uc = r.Route.use_case in
         incr checks;
         if uc < 0 || uc >= n_ucs then
           fail "route-use-case" (Printf.sprintf "route for flow %d names unknown use-case %d" r.Route.flow_id uc)
-        else routes_of.(uc) <- r :: routes_of.(uc))
-      m.Mapping.routes;
+        else routes_of.(uc) <- i :: routes_of.(uc))
+      routes;
     Array.iteri (fun uc rs -> routes_of.(uc) <- List.rev rs) routes_of;
+    (* Worst wait of each reserved route, computed on first use and
+       shared by the latency bound and the NI buffer sizing. *)
+    let waits = Array.make (Array.length routes) (-1) in
+    let wait_of i =
+      if waits.(i) < 0 then waits.(i) <- worst_wait ~slots routes.(i).Route.slot_starts;
+      waits.(i)
+    in
     (* Per-route structural checks: endpoints, chain, loop-freedom,
-       slot ranges, service discipline. *)
-    let route_structurally_ok = Hashtbl.create 64 in
-    List.iter
-      (fun r ->
+       slot ranges, service discipline.  The routes recorded under a
+       connection id (use-case, flow id) contribute slot claims below
+       only if the last of them passes them all. *)
+    let structurally_ok = Hashtbl.create (Array.length routes) in
+    let visited = Array.make n_switch (-1) in
+    Array.iteri
+      (fun i (r : Route.t) ->
         let uc = r.Route.use_case in
         if uc >= 0 && uc < n_ucs then begin
           let here ?link id cond detail = run ~use_case:uc ?link id cond detail in
@@ -237,28 +237,29 @@ let certify ?(name = "design") (m : Mapping.t) use_cases =
               (fun () ->
                 Printf.sprintf "flow %d route endpoints (sw %d -> sw %d) disagree with the placement"
                   r.Route.flow_id r.Route.src_switch r.Route.dst_switch);
-          (* Walk the chain with nothing but link endpoints. *)
+          (* Walk the chain with nothing but link endpoints; switches
+             visited by this route carry its position as a stamp. *)
           let links_ok =
             List.for_all (fun l -> l >= 0 && l < n_links) r.Route.links
           in
           here "link-range" links_ok (fun () ->
               Printf.sprintf "flow %d path names a link outside 0..%d" r.Route.flow_id (n_links - 1));
           if links_ok then begin
-            let visited = Hashtbl.create 8 in
-            Hashtbl.replace visited r.Route.src_switch ();
+            let src = r.Route.src_switch in
+            if src >= 0 && src < n_switch then visited.(src) <- i;
             let rec walk at = function
               | [] -> if at <> r.Route.dst_switch then Some "path stops short of the destination switch" else None
               | l :: rest ->
                 let a, b = Mesh.link_endpoints mesh l in
                 if a <> at then Some (Printf.sprintf "link %d departs switch %d, not %d" l a at)
-                else if Hashtbl.mem visited b then
+                else if visited.(b) = i then
                   Some (Printf.sprintf "path revisits switch %d (a routing loop)" b)
                 else begin
-                  Hashtbl.replace visited b ();
+                  visited.(b) <- i;
                   walk b rest
                 end
             in
-            let verdict = walk r.Route.src_switch r.Route.links in
+            let verdict = walk src r.Route.links in
             here "route-path" (verdict = None) (fun () ->
                 Printf.sprintf "flow %d: %s" r.Route.flow_id (Option.value verdict ~default:""));
             if verdict <> None then ok := false
@@ -278,25 +279,33 @@ let certify ?(name = "design") (m : Mapping.t) use_cases =
               here "no-reservation" (r.Route.slot_starts <> []) (fun () ->
                   Printf.sprintf "guaranteed flow %d crosses %d links with no reserved slots"
                     r.Route.flow_id (List.length r.Route.links)));
-          Hashtbl.replace route_structurally_ok (uc, r.Route.flow_id) !ok
+          Hashtbl.replace structurally_ok (uc, r.Route.flow_id) !ok
         end)
-      m.Mapping.routes;
+      routes;
     (* Per-flow guarantees against the spec's demand, and the static
-       latency bounds. *)
+       latency bounds.  A flow's candidate connections are the
+       use-case's routes with its endpoints and service, found through
+       a per-use-case index on (source, destination, service). *)
     let bounds = ref [] in
+    let by_endpoints = Hashtbl.create 64 in
     List.iter
       (fun u ->
         let uc = u.Use_case.id in
-        let own = routes_of.(uc) in
+        Hashtbl.clear by_endpoints;
+        List.iter
+          (fun i ->
+            let r = routes.(i) in
+            let k = (r.Route.src_core, r.Route.dst_core, r.Route.service) in
+            Hashtbl.replace by_endpoints k
+              (i :: Option.value (Hashtbl.find_opt by_endpoints k) ~default:[]))
+          routes_of.(uc);
         List.iter
           (fun f ->
             let service = if Flow.is_guaranteed f then Route.Gt else Route.Be in
             let matching =
-              List.filter
-                (fun r ->
-                  r.Route.src_core = f.Flow.src && r.Route.dst_core = f.Flow.dst
-                  && r.Route.service = service)
-                own
+              Option.value
+                (Hashtbl.find_opt by_endpoints (f.Flow.src, f.Flow.dst, service))
+                ~default:[]
             in
             run ~use_case:uc "route-exists"
               (List.length matching = 1)
@@ -304,7 +313,8 @@ let certify ?(name = "design") (m : Mapping.t) use_cases =
                 Printf.sprintf "flow %d -> %d: %d configured connections (want exactly 1)"
                   f.Flow.src f.Flow.dst (List.length matching));
             match matching with
-            | [ r ] ->
+            | [ i ] ->
+              let r = routes.(i) in
               run ~use_case:uc "demand-record"
                 (r.Route.bandwidth = f.Flow.bandwidth)
                 (fun () ->
@@ -324,7 +334,8 @@ let certify ?(name = "design") (m : Mapping.t) use_cases =
                         (float_of_int granted *. slot_bw)
                         f.Flow.bandwidth);
                 let bound_ns =
-                  static_bound_ns ~config ~slot_starts:r.Route.slot_starts ~hops
+                  bound_ns ~slot_ns ~hops ~slot_starts:r.Route.slot_starts ~wait:(fun () ->
+                      wait_of i)
                 in
                 run ~use_case:uc "latency"
                   (bound_ns <= f.Flow.latency_ns +. 1e-9)
@@ -351,44 +362,73 @@ let certify ?(name = "design") (m : Mapping.t) use_cases =
     (* Slot claims: rebuild every (link, slot) each route occupies from
        its starting slots and check exclusivity within the use-case,
        exact ownership in the use-case's own tables, and that no table
-       holds reservations its switching group cannot account for. *)
+       holds reservations its switching group cannot account for.
+       Claims live in per-use-case arrays indexed [link * slots + slot],
+       and each use-case remembers them in claim order.  A route that
+       fails its structural checks still claims when a later route with
+       its connection id passes them; its claims off the tables (a link
+       out of range, a negative start) are kept apart, by (link, slot). *)
     let group_of = Array.make n_ucs [] in
     List.iter (fun g -> List.iter (fun uc -> group_of.(uc) <- g) g) m.Mapping.groups;
-    let claims_of = Array.make n_ucs (Hashtbl.create 0) in
-    Array.iteri (fun uc _ -> claims_of.(uc) <- Hashtbl.create 64) claims_of;
-    List.iter
+    let cells = n_links * max slots 0 in
+    let claimed = Array.init n_ucs (fun _ -> Bytes.make cells '\000') in
+    let claimant = Array.init n_ucs (fun _ -> Array.make cells 0) in
+    let stray = Array.init n_ucs (fun _ -> Hashtbl.create 0) in
+    let claim_order = Array.make n_ucs [] in
+    Array.iter
       (fun (r : Route.t) ->
         let uc = r.Route.use_case in
         if
-          uc >= 0 && uc < n_ucs && r.Route.service = Route.Gt
-          && Option.value (Hashtbl.find_opt route_structurally_ok (uc, r.Route.flow_id))
-               ~default:false
-        then
-          let claims = claims_of.(uc) in
+          r.Route.service = Route.Gt
+          && Option.value (Hashtbl.find_opt structurally_ok (uc, r.Route.flow_id)) ~default:false
+        then begin
+          let taken = claimed.(uc) and owner = claimant.(uc) in
+          let flow_id = r.Route.flow_id in
+          let conflict link slot other =
+            fail ~use_case:uc ~link "slot-exclusivity"
+              (Printf.sprintf "link %d slot %d claimed by both flow %d and flow %d" link slot other
+                 flow_id)
+          in
           List.iter
             (fun start ->
               List.iteri
                 (fun hop link ->
                   let slot = (start + hop) mod slots in
                   incr checks;
-                  match Hashtbl.find_opt claims (link, slot) with
-                  | Some other when other <> r.Route.flow_id ->
-                    fail ~use_case:uc ~link "slot-exclusivity"
-                      (Printf.sprintf "link %d slot %d claimed by both flow %d and flow %d" link
-                         slot other r.Route.flow_id)
-                  | Some _ -> ()
-                  | None -> Hashtbl.replace claims (link, slot) r.Route.flow_id)
+                  if link >= 0 && link < n_links && slot >= 0 then begin
+                    let cell = (link * slots) + slot in
+                    if Bytes.get taken cell = '\000' then begin
+                      Bytes.set taken cell '\001';
+                      owner.(cell) <- flow_id;
+                      claim_order.(uc) <- `Cell cell :: claim_order.(uc)
+                    end
+                    else if owner.(cell) <> flow_id then conflict link slot owner.(cell)
+                  end
+                  else
+                    match Hashtbl.find_opt stray.(uc) (link, slot) with
+                    | Some other -> if other <> flow_id then conflict link slot other
+                    | None ->
+                      Hashtbl.replace stray.(uc) (link, slot) flow_id;
+                      claim_order.(uc) <- `Stray (link, slot) :: claim_order.(uc))
                 r.Route.links)
-            r.Route.slot_starts)
-      m.Mapping.routes;
+            r.Route.slot_starts
+        end)
+      routes;
     (* Claims versus the recorded slot tables, both directions. *)
     List.iter
       (fun u ->
         let uc = u.Use_case.id in
         let state = m.Mapping.states.(uc) in
-        (* Every claim must be owned by exactly the claiming flow. *)
-        Hashtbl.iter
-          (fun (link, slot) flow_id ->
+        let taken = claimed.(uc) and owner = claimant.(uc) in
+        (* Every claim, in claim order, must be owned by exactly the
+           claiming flow. *)
+        List.iter
+          (fun claim ->
+            let link, slot, flow_id =
+              match claim with
+              | `Cell cell -> (cell / slots, cell mod slots, owner.(cell))
+              | `Stray (link, slot) -> (link, slot, Hashtbl.find stray.(uc) (link, slot))
+            in
             incr checks;
             match Slot_table.owner (Resources.table state link) slot with
             | Some o when o = flow_id -> ()
@@ -400,36 +440,36 @@ let certify ?(name = "design") (m : Mapping.t) use_cases =
               fail ~use_case:uc ~link "slot-owner"
                 (Printf.sprintf "link %d slot %d: claimed by flow %d but free in the table" link
                    slot flow_id))
-          claims_of.(uc);
+          (List.rev claim_order.(uc));
         (* Every recorded reservation must be accounted for: claimed by
            this use-case, or mirrored from a switching-group partner
            (shared configuration) under the partner's connection id. *)
         for link = 0 to n_links - 1 do
           let table = Resources.table state link in
-          for slot = 0 to slots - 1 do
-            match Slot_table.owner table slot with
-            | None -> ()
-            | Some o ->
-              if not (Hashtbl.mem claims_of.(uc) (link, slot)) then begin
-                incr checks;
-                let accounted =
-                  List.exists
-                    (fun partner ->
-                      partner <> uc
-                      &&
-                      match Hashtbl.find_opt claims_of.(partner) (link, slot) with
-                      | Some pf -> pf = o
-                      | None -> false)
-                    group_of.(uc)
-                in
-                if not accounted then
-                  fail ~use_case:uc ~link "orphan-slot"
-                    (Printf.sprintf
-                       "link %d slot %d reserved for connection %d, which no route of the \
-                        switching group explains"
-                       link slot o)
-              end
-          done
+          if Slot_table.used_count table > 0 then
+            for slot = 0 to slots - 1 do
+              match Slot_table.owner table slot with
+              | None -> ()
+              | Some o ->
+                let cell = (link * slots) + slot in
+                if Bytes.get taken cell = '\000' then begin
+                  incr checks;
+                  let accounted =
+                    List.exists
+                      (fun partner ->
+                        partner <> uc
+                        && Bytes.get claimed.(partner) cell <> '\000'
+                        && claimant.(partner).(cell) = o)
+                      group_of.(uc)
+                  in
+                  if not accounted then
+                    fail ~use_case:uc ~link "orphan-slot"
+                      (Printf.sprintf
+                         "link %d slot %d reserved for connection %d, which no route of the \
+                          switching group explains"
+                         link slot o)
+                end
+            done
         done)
       use_cases;
     (* Shared configuration inside each smooth-switching group: the
@@ -440,16 +480,16 @@ let certify ?(name = "design") (m : Mapping.t) use_cases =
         match group with
         | [] | [ _ ] -> ()
         | leader :: rest ->
-          let occupied uc link slot =
-            Slot_table.owner (Resources.table m.Mapping.states.(uc) link) slot <> None
-          in
           List.iter
             (fun member ->
               for link = 0 to n_links - 1 do
                 incr checks;
+                let lead = Resources.table m.Mapping.states.(leader) link in
+                let mine = Resources.table m.Mapping.states.(member) link in
                 let agree = ref true in
                 for slot = 0 to slots - 1 do
-                  if occupied leader link slot <> occupied member link slot then agree := false
+                  if Slot_table.is_free lead slot <> Slot_table.is_free mine slot then
+                    agree := false
                 done;
                 if not !agree then
                   fail ~use_case:member ~link "group-config"
@@ -487,9 +527,10 @@ let certify ?(name = "design") (m : Mapping.t) use_cases =
         use_cases
     end;
     (* NI buffer provisioning implied by the reservations: the source
-       buffer absorbs the worst service gap at the contracted rate plus
-       one in-flight payload; each incoming connection needs one
-       reassembly payload.  A core's NI must cover its worst use-case. *)
+       buffer absorbs the worst service gap (worst wait plus the launch
+       slot) at the contracted rate plus one in-flight payload; each
+       incoming connection needs one reassembly payload.  A core's NI
+       must cover its worst use-case. *)
     let payload_bytes =
       float_of_int config.Config.slot_cycles *. float_of_int config.Config.link_width_bits /. 8.0
     in
@@ -500,14 +541,15 @@ let certify ?(name = "design") (m : Mapping.t) use_cases =
         let uc = u.Use_case.id in
         let per_core = Array.make n_cores 0.0 in
         List.iter
-          (fun (r : Route.t) ->
+          (fun i ->
+            let r = routes.(i) in
             if r.Route.src_core >= 0 && r.Route.src_core < n_cores
                && r.Route.dst_core >= 0 && r.Route.dst_core < n_cores
             then begin
               let source_bytes =
                 match (r.Route.service, r.Route.links) with
                 | Route.Gt, _ :: _ when r.Route.slot_starts <> [] ->
-                  let gap = worst_service_gap ~slots ~slot_starts:r.Route.slot_starts in
+                  let gap = wait_of i + 1 in
                   (r.Route.bandwidth /. 1000.0 *. (float_of_int gap *. slot_ns)) +. payload_bytes
                 | _ -> payload_bytes
               in
@@ -528,74 +570,78 @@ let certify ?(name = "design") (m : Mapping.t) use_cases =
     let bounds =
       List.sort
         (fun (a : flow_bound) (b : flow_bound) ->
-          compare (a.use_case, a.flow_id) (b.use_case, b.flow_id))
+          match Int.compare a.use_case b.use_case with
+          | 0 -> Int.compare a.flow_id b.flow_id
+          | c -> c)
         !bounds
     in
-    let record =
-      {
-        design = name;
-        digest = Codec.digest m;
-        switches = n_switch;
-        use_cases = n_ucs;
-        routes = List.length m.Mapping.routes;
-        checks = !checks;
-        findings = List.rev !findings;
-        bounds;
-        ni_buffer_words;
-        signature = "";
-      }
-    in
-    record
+    record ~bounds ~ni_buffer_words
   end
 
 (* --- rendering and the signature --------------------------------------- *)
 
-let fl x = if Float.is_finite x then Json.Float x else Json.String "inf"
+(* The certificate is streamed field by field; the signature is the MD5
+   of the compact rendering of every field before it, so signing and
+   printing share one code path. *)
 
-let json_of_finding f =
-  Json.Obj
-    [
-      ("check", Json.String f.check);
-      ("use_case", Json.Int f.use_case);
-      ("link", Json.Int f.link);
-      ("detail", Json.String f.detail);
-    ]
+let bound_float w x = if Float.is_finite x then Json.float w x else Json.string w "inf"
 
-let json_of_bound (b : flow_bound) =
-  Json.Obj
-    [
-      ("use_case", Json.Int b.use_case);
-      ("flow_id", Json.Int b.flow_id);
-      ("src_core", Json.Int b.src_core);
-      ("dst_core", Json.Int b.dst_core);
-      ("hops", Json.Int b.hops);
-      ("granted_slots", Json.Int b.granted_slots);
-      ("bound_ns", fl b.bound_ns);
-      ("required_ns", fl b.required_ns);
-      ("slack_ns", fl b.slack_ns);
-    ]
+let write_finding w f =
+  Json.obj_open w;
+  Json.string_field w "check" f.check;
+  Json.int_field w "use_case" f.use_case;
+  Json.int_field w "link" f.link;
+  Json.string_field w "detail" f.detail;
+  Json.obj_close w
 
-let payload_json t =
-  Json.Obj
-    [
-      ("design", Json.String t.design);
-      ("digest", match t.digest with Some d -> Json.String d | None -> Json.Null);
-      ("switches", Json.Int t.switches);
-      ("use_cases", Json.Int t.use_cases);
-      ("routes", Json.Int t.routes);
-      ("checks", Json.Int t.checks);
-      ("clean", Json.Bool (clean t));
-      ("findings", Json.List (List.map json_of_finding t.findings));
-      ("bounds", Json.List (List.map json_of_bound t.bounds));
-      ( "ni_buffer_words",
-        Json.List
-          (List.map
-             (fun (core, words) ->
-               Json.Obj [ ("core", Json.Int core); ("words", Json.Int words) ])
-             t.ni_buffer_words) );
-    ]
+let write_bound w (b : flow_bound) =
+  Json.obj_open w;
+  Json.int_field w "use_case" b.use_case;
+  Json.int_field w "flow_id" b.flow_id;
+  Json.int_field w "src_core" b.src_core;
+  Json.int_field w "dst_core" b.dst_core;
+  Json.int_field w "hops" b.hops;
+  Json.int_field w "granted_slots" b.granted_slots;
+  Json.field w "bound_ns";
+  bound_float w b.bound_ns;
+  Json.field w "required_ns";
+  bound_float w b.required_ns;
+  Json.field w "slack_ns";
+  bound_float w b.slack_ns;
+  Json.obj_close w
 
-let sign t = Digest.to_hex (Digest.string (Json.to_string (payload_json t)))
+let write_buffer_words w (core, words) =
+  Json.obj_open w;
+  Json.int_field w "core" core;
+  Json.int_field w "words" words;
+  Json.obj_close w
+
+let write_payload w t =
+  Json.string_field w "design" t.design;
+  Json.field w "digest";
+  (match t.digest with Some d -> Json.string w d | None -> Json.null w);
+  Json.int_field w "switches" t.switches;
+  Json.int_field w "use_cases" t.use_cases;
+  Json.int_field w "routes" t.routes;
+  Json.int_field w "checks" t.checks;
+  Json.bool_field w "clean" (clean t);
+  Json.field w "findings";
+  Json.list w write_finding t.findings;
+  Json.field w "bounds";
+  Json.list w write_bound t.bounds;
+  Json.field w "ni_buffer_words";
+  Json.list w write_buffer_words t.ni_buffer_words
+
+(* A bound renders to about 200 bytes pretty-printed. *)
+let render ?indent ~signed t =
+  let w = Json.writer ?indent (1024 + (200 * List.length t.bounds)) in
+  Json.obj_open w;
+  write_payload w t;
+  if signed then Json.string_field w "signature" t.signature;
+  Json.obj_close w;
+  Json.contents w
+
+let sign t = Digest.to_hex (Digest.string (render ~signed:false t))
 
 let signature_ok t = String.equal t.signature (sign t)
 
@@ -603,10 +649,7 @@ let certify ?name m use_cases =
   let record = certify ?name m use_cases in
   { record with signature = sign record }
 
-let to_json t =
-  match payload_json t with
-  | Json.Obj fields -> Json.Obj (fields @ [ ("signature", Json.String t.signature) ])
-  | other -> other
+let to_string ?indent t = render ?indent ~signed:true t
 
 let to_diagnostics t =
   let summary =

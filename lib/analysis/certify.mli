@@ -96,11 +96,18 @@ val static_bound_ns :
     {!Noc_arch.Route.worst_case_latency_ns} on reserved connections —
     property-tested, since the two derivations share no code. *)
 
+val worst_wait : slots:int -> int list -> int
+(** The phase analysis's core: the longest an arrival can wait for
+    the next reserved start, in slots — the largest circular gap
+    between consecutive distinct starts (taken modulo [slots]), less
+    one.  @raise Invalid_argument on an empty start list. *)
+
 val signature_ok : t -> bool
 (** Recompute the signature over the record's payload and compare. *)
 
-val to_json : t -> Noc_export.Json.t
-(** The full certificate record, signature included. *)
+val to_string : ?indent:int -> t -> string
+(** The full certificate record as JSON, signature included; the
+    signature covers the compact rendering of the fields before it. *)
 
 val to_diagnostics : t -> Diagnostic.t list
 (** Findings as [certify-<check>] error diagnostics plus one

@@ -1,41 +1,89 @@
 module Config = Noc_arch.Noc_config
 module Mesh = Noc_arch.Mesh
 module Route = Noc_arch.Route
+module Slot_table = Noc_arch.Slot_table
 
 let format_version = 1
 
 let magic = Printf.sprintf "nocmap-mapping %d" format_version
 
-let fl x = Printf.sprintf "%h" x
-
 let routing_token = function Config.Min_cost -> "min-cost" | Config.Xy -> "xy"
 let kind_token = function Mesh.Mesh -> "mesh" | Mesh.Torus -> "torus"
 
-let config_line (c : Config.t) =
-  Printf.sprintf "config %s %d %d %d %d %d %d %s %s %s %s" (fl c.Config.freq_mhz)
-    c.Config.link_width_bits c.Config.slots c.Config.slot_cycles c.Config.nis_per_switch
-    (if c.Config.constrain_ni_links then 1 else 0)
-    c.Config.max_mesh_dim (routing_token c.Config.routing) (kind_token c.Config.topology)
-    (fl c.Config.placement_hw_factor)
-    (fl c.Config.placement_spread_factor)
+(* Every line is written straight into the one output buffer: tokens
+   are space-separated, counts precede their lists. *)
+let add_word b w =
+  Buffer.add_char b ' ';
+  Buffer.add_string b w
 
-let route_line (r : Route.t) =
-  Printf.sprintf "route %d %d %d %d %d %d %s %s %d%s %d%s" r.Route.flow_id r.Route.use_case
-    r.Route.src_core r.Route.dst_core r.Route.src_switch r.Route.dst_switch
-    (fl r.Route.bandwidth)
-    (match r.Route.service with Route.Gt -> "gt" | Route.Be -> "be")
-    (List.length r.Route.links)
-    (String.concat "" (List.map (Printf.sprintf " %d") r.Route.links))
-    (List.length r.Route.slot_starts)
-    (String.concat "" (List.map (Printf.sprintf " %d") r.Route.slot_starts))
+let add_num b i =
+  Buffer.add_char b ' ';
+  Noc_util.Numeric.add_int b i
 
-let state_line s =
+(* The C conversion behind Printf's "%h", without the format
+   interpreter around it. *)
+external hex_float : float -> int -> char -> string = "caml_hexstring_of_float"
+
+let add_fl b x = add_word b (hex_float x (-1) '-')
+
+let add_counted b xs =
+  add_num b (List.length xs);
+  List.iter (add_num b) xs
+
+let add_config b (c : Config.t) =
+  Buffer.add_string b "config";
+  add_fl b c.Config.freq_mhz;
+  add_num b c.Config.link_width_bits;
+  add_num b c.Config.slots;
+  add_num b c.Config.slot_cycles;
+  add_num b c.Config.nis_per_switch;
+  add_num b (if c.Config.constrain_ni_links then 1 else 0);
+  add_num b c.Config.max_mesh_dim;
+  add_word b (routing_token c.Config.routing);
+  add_word b (kind_token c.Config.topology);
+  add_fl b c.Config.placement_hw_factor;
+  add_fl b c.Config.placement_spread_factor
+
+let add_route b (r : Route.t) =
+  Buffer.add_string b "route";
+  add_num b r.Route.flow_id;
+  add_num b r.Route.use_case;
+  add_num b r.Route.src_core;
+  add_num b r.Route.dst_core;
+  add_num b r.Route.src_switch;
+  add_num b r.Route.dst_switch;
+  add_fl b r.Route.bandwidth;
+  add_word b (match r.Route.service with Route.Gt -> "gt" | Route.Be -> "be");
+  add_counted b r.Route.links;
+  add_counted b r.Route.slot_starts
+
+(* Reservations in (link, slot) order, read off the tables directly.
+   The count is taken over the same owners the triples are written
+   for, not from the tables' use counters: a restored table can count
+   a reservation it holds no owner for. *)
+let add_state b s =
   let nis = Resources.ni_budget_snapshot s in
-  let res = Resources.reservations s in
-  Printf.sprintf "state %d %d%s %d%s" (Resources.use_case s) (Array.length nis)
-    (String.concat "" (Array.to_list (Array.map (fun b -> " " ^ fl b) nis)))
-    (List.length res)
-    (String.concat "" (List.map (fun (l, sl, o) -> Printf.sprintf " %d %d %d" l sl o) res))
+  Buffer.add_string b "state";
+  add_num b (Resources.use_case s);
+  add_num b (Array.length nis);
+  Array.iter (add_fl b) nis;
+  let links = Mesh.link_count (Resources.mesh s) in
+  let each_owner f =
+    for l = 0 to links - 1 do
+      let tab = Resources.table s l in
+      if Slot_table.used_count tab > 0 then
+        for slot = 0 to Slot_table.slots tab - 1 do
+          match Slot_table.owner tab slot with Some owner -> f l slot owner | None -> ()
+        done
+    done
+  in
+  let reserved = ref 0 in
+  each_owner (fun _ _ _ -> incr reserved);
+  add_num b !reserved;
+  each_owner (fun l slot owner ->
+      add_num b l;
+      add_num b slot;
+      add_num b owner)
 
 (* Only plain grids are representable: [with_express] adds links the
    (kind, width, height) triple cannot reconstruct. *)
@@ -48,27 +96,49 @@ let encode (m : Mapping.t) =
   let mesh = m.Mapping.mesh in
   if not (plain_grid mesh) then None
   else begin
-    let b = Buffer.create 4096 in
-    let line fmt = Printf.ksprintf (fun s -> Buffer.add_string b s; Buffer.add_char b '\n') fmt in
-    line "%s" magic;
-    line "%s" (config_line m.Mapping.config);
-    line "mesh %s %d %d %d" (kind_token (Mesh.kind mesh)) (Mesh.width mesh) (Mesh.height mesh)
-      (Mesh.link_count mesh);
-    line "placement %d%s"
-      (Array.length m.Mapping.placement)
-      (String.concat ""
-         (Array.to_list (Array.map (Printf.sprintf " %d") m.Mapping.placement)));
-    line "groups %d" (List.length m.Mapping.groups);
+    let b = Buffer.create (4096 + (64 * List.length m.Mapping.routes)) in
+    let eol () = Buffer.add_char b '\n' in
+    Buffer.add_string b magic;
+    eol ();
+    add_config b m.Mapping.config;
+    eol ();
+    Buffer.add_string b "mesh";
+    add_word b (kind_token (Mesh.kind mesh));
+    add_num b (Mesh.width mesh);
+    add_num b (Mesh.height mesh);
+    add_num b (Mesh.link_count mesh);
+    eol ();
+    Buffer.add_string b "placement";
+    add_num b (Array.length m.Mapping.placement);
+    Array.iter (add_num b) m.Mapping.placement;
+    eol ();
+    Buffer.add_string b "groups";
+    add_num b (List.length m.Mapping.groups);
+    eol ();
     List.iter
       (fun g ->
-        line "group %d%s" (List.length g)
-          (String.concat "" (List.map (Printf.sprintf " %d") g)))
+        Buffer.add_string b "group";
+        add_counted b g;
+        eol ())
       m.Mapping.groups;
-    line "routes %d" (List.length m.Mapping.routes);
-    List.iter (fun r -> line "%s" (route_line r)) m.Mapping.routes;
-    line "states %d" (Array.length m.Mapping.states);
-    Array.iter (fun s -> line "%s" (state_line s)) m.Mapping.states;
-    line "end";
+    Buffer.add_string b "routes";
+    add_num b (List.length m.Mapping.routes);
+    eol ();
+    List.iter
+      (fun r ->
+        add_route b r;
+        eol ())
+      m.Mapping.routes;
+    Buffer.add_string b "states";
+    add_num b (Array.length m.Mapping.states);
+    eol ();
+    Array.iter
+      (fun s ->
+        add_state b s;
+        eol ())
+      m.Mapping.states;
+    Buffer.add_string b "end";
+    eol ();
     Some (Buffer.contents b)
   end
 

@@ -5,12 +5,7 @@
     groups, and the verification verdict — everything a downstream
     flow (floorplanning, documentation, visualisation) needs. *)
 
-val mapping : Noc_core.Mapping.t -> Json.t
-(** The mapping as a JSON value. *)
-
-val design : Noc_core.Design_flow.t -> Json.t
-(** The whole design-flow result (spec summary, compounds, groups,
-    mapping, verification). *)
-
 val design_to_string : ?indent:int -> Noc_core.Design_flow.t -> string
-(** [to_string (design d)], default pretty-printed with indent 2. *)
+(** The whole design-flow result (spec summary, compounds, groups,
+    mapping, verification), streamed; default pretty-printed with
+    indent 2. *)

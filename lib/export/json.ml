@@ -7,77 +7,204 @@ type t =
   | List of t list
   | Obj of (string * t) list
 
+(* --- rendering ------------------------------------------------------------ *)
+
+(* The escape sequence of each byte: quote, backslash, \n, \r and \t
+   by name, other control characters as \u00XX, "" for every byte JSON
+   strings carry verbatim. *)
+let escapes =
+  Array.init 256 (fun i ->
+      match Char.chr i with
+      | '"' -> "\\\""
+      | '\\' -> "\\\\"
+      | '\n' -> "\\n"
+      | '\r' -> "\\r"
+      | '\t' -> "\\t"
+      | _ when i < 0x20 -> Printf.sprintf "\\u%04x" i
+      | _ -> "")
+
+let escape_of c = Array.unsafe_get escapes (Char.code c)
+
+(* How many bytes each byte grows by when escaped (0 = verbatim). *)
+let growth = Bytes.init 256 (fun i -> Char.unsafe_chr (max 0 (String.length escapes.(i) - 1)))
+
+let grows c = Char.code (Bytes.unsafe_get growth (Char.code c))
+
+(* Two passes into an exact-size result: count the growth, then fill
+   byte by byte (a pretty-printed payload escapes every few bytes, too
+   often for blits to pay).  A string that needs no escaping is
+   returned as is. *)
 let escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\r' -> Buffer.add_string buf "\\r"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+  let n = String.length s in
+  let grow = ref 0 in
+  for i = 0 to n - 1 do
+    grow := !grow + grows (String.unsafe_get s i)
+  done;
+  if !grow = 0 then s
+  else begin
+    let out = Bytes.create (n + !grow) in
+    let j = ref 0 in
+    for i = 0 to n - 1 do
+      let c = String.unsafe_get s i in
+      if grows c = 0 then begin
+        Bytes.unsafe_set out !j c;
+        incr j
+      end
+      else begin
+        let e = escape_of c in
+        for m = 0 to String.length e - 1 do
+          Bytes.unsafe_set out (!j + m) (String.unsafe_get e m)
+        done;
+        j := !j + String.length e
+      end
+    done;
+    Bytes.unsafe_to_string out
+  end
 
-let float_repr x =
-  if Float.is_integer x && Float.abs x < 1e15 then Printf.sprintf "%.1f" x
-  else if Float.is_nan x || Float.abs x = infinity then "null" (* JSON has no NaN/inf *)
-  else Printf.sprintf "%.12g" x
+(* The C conversion behind Printf's "%.12g", without the format
+   interpreter around it. *)
+external format_float : string -> float -> string = "caml_format_float"
 
-let to_string ?(indent = 0) v =
-  let buf = Buffer.create 1024 in
-  let pad depth = if indent > 0 then Buffer.add_string buf (String.make (depth * indent) ' ') in
-  let nl () = if indent > 0 then Buffer.add_char buf '\n' in
-  let rec go depth = function
-    | Null -> Buffer.add_string buf "null"
-    | Bool b -> Buffer.add_string buf (string_of_bool b)
-    | Int i -> Buffer.add_string buf (string_of_int i)
-    | Float x -> Buffer.add_string buf (float_repr x)
-    | String s ->
-      Buffer.add_char buf '"';
-      Buffer.add_string buf (escape s);
-      Buffer.add_char buf '"'
-    | List [] -> Buffer.add_string buf "[]"
-    | List items ->
-      Buffer.add_char buf '[';
-      nl ();
-      List.iteri
-        (fun i item ->
-          if i > 0 then begin
-            Buffer.add_char buf ',';
-            nl ()
-          end;
-          pad (depth + 1);
-          go (depth + 1) item)
-        items;
-      nl ();
-      pad depth;
-      Buffer.add_char buf ']'
-    | Obj [] -> Buffer.add_string buf "{}"
-    | Obj fields ->
-      Buffer.add_char buf '{';
-      nl ();
-      List.iteri
-        (fun i (k, item) ->
-          if i > 0 then begin
-            Buffer.add_char buf ',';
-            nl ()
-          end;
-          pad (depth + 1);
-          Buffer.add_char buf '"';
-          Buffer.add_string buf (escape k);
-          Buffer.add_string buf "\": ";
-          go (depth + 1) item)
-        fields;
-      nl ();
-      pad depth;
-      Buffer.add_char buf '}'
-  in
-  go 0 v;
-  Buffer.contents buf
+(* Integral floats print as "%.1f" (exactly the integer digits plus
+   ".0" below 1e15, "-0.0" kept), NaN and infinities as null, the rest
+   as "%.12g". *)
+let add_float buf x =
+  if Float.is_integer x && Float.abs x < 1e15 then begin
+    if Float.sign_bit x && x = 0.0 then Buffer.add_char buf '-';
+    Noc_util.Numeric.add_int buf (int_of_float x);
+    Buffer.add_string buf ".0"
+  end
+  else if Float.is_nan x || Float.abs x = infinity then Buffer.add_string buf "null"
+  else Buffer.add_string buf (format_float "%.12g" x)
+
+type writer = {
+  buf : Buffer.t;
+  indent : int;
+  mutable depth : int;
+  mutable first : bool;  (** nothing written yet in the innermost open container *)
+}
+
+let writer ?(indent = 0) size = { buf = Buffer.create size; indent; depth = 0; first = true }
+
+let contents w = Buffer.contents w.buf
+
+let spaces = String.make 128 ' '
+
+let add_pad w =
+  let n = ref (w.depth * w.indent) in
+  while !n > 0 do
+    let k = min !n (String.length spaces) in
+    Buffer.add_substring w.buf spaces 0 k;
+    n := !n - k
+  done
+
+(* Before each member of the open container: the separator, and when
+   pretty-printing a newline and the member's indentation. *)
+let item w =
+  if not w.first then Buffer.add_char w.buf ',';
+  if w.indent > 0 then begin
+    Buffer.add_char w.buf '\n';
+    add_pad w
+  end;
+  w.first <- false
+
+let open_ w c =
+  Buffer.add_char w.buf c;
+  w.depth <- w.depth + 1;
+  w.first <- true
+
+(* An empty container closes on the same line: "[]", "{}". *)
+let close w c =
+  w.depth <- w.depth - 1;
+  if (not w.first) && w.indent > 0 then begin
+    Buffer.add_char w.buf '\n';
+    add_pad w
+  end;
+  Buffer.add_char w.buf c;
+  w.first <- false
+
+let obj_open w = open_ w '{'
+let obj_close w = close w '}'
+let list_open w = open_ w '['
+let list_close w = close w ']'
+
+let null w = Buffer.add_string w.buf "null"
+let bool w b = Buffer.add_string w.buf (if b then "true" else "false")
+let int w i = Noc_util.Numeric.add_int w.buf i
+let float w x = add_float w.buf x
+
+(* Keys and most values need no escaping, so [escape] hands them back
+   uncopied. *)
+let string w s =
+  Buffer.add_char w.buf '"';
+  Buffer.add_string w.buf (escape s);
+  Buffer.add_char w.buf '"'
+
+let field w key =
+  item w;
+  string w key;
+  Buffer.add_string w.buf ": "
+
+let int_field w key i =
+  field w key;
+  int w i
+
+let float_field w key x =
+  field w key;
+  float w x
+
+let string_field w key s =
+  field w key;
+  string w s
+
+let bool_field w key b =
+  field w key;
+  bool w b
+
+let list w f xs =
+  list_open w;
+  List.iter
+    (fun x ->
+      item w;
+      f w x)
+    xs;
+  list_close w
+
+let rec value w = function
+  | Null -> null w
+  | Bool b -> bool w b
+  | Int i -> int w i
+  | Float x -> float w x
+  | String s -> string w s
+  | List items -> list w value items
+  | Obj fields ->
+    obj_open w;
+    List.iter
+      (fun (k, v) ->
+        field w k;
+        value w v)
+      fields;
+    obj_close w
+
+(* Room for the top-level strings up front, so a protocol line around a
+   large payload starts near its final size while a small one stays
+   small. *)
+let size_hint v =
+  let shallow = function String s -> String.length s + 8 | _ -> 32 in
+  match v with
+  | Obj fields -> List.fold_left (fun acc (k, v) -> acc + String.length k + shallow v) 16 fields
+  | v -> shallow v
+
+let to_string ?indent v =
+  let w = writer ?indent (size_hint v) in
+  value w v;
+  contents w
+
+let to_line v =
+  let w = writer (size_hint v + 1) in
+  value w v;
+  Buffer.add_char w.buf '\n';
+  contents w
 
 (* --- strict syntax validation ------------------------------------------- *)
 
@@ -282,9 +409,13 @@ let parse text =
         | _ -> error "bad escape");
         go ()
       | Some c when Char.code c < 0x20 -> error "control character in string"
-      | Some c ->
-        Buffer.add_char buf c;
-        advance ();
+      | Some _ ->
+        (* A run of plain characters, copied in one blit. *)
+        let start = !pos in
+        while !pos < n && grows (String.unsafe_get text !pos) = 0 do
+          incr pos
+        done;
+        Buffer.add_substring buf text start (!pos - start);
         go ()
     in
     go ();

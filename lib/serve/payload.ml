@@ -22,4 +22,4 @@ let points points =
 let lint report = Noc_analysis.Analyzer.render_json report ^ "\n"
 
 let certificate cert =
-  J.to_string ~indent:2 (Noc_analysis.Certify.to_json cert) ^ "\n"
+  Noc_analysis.Certify.to_string ~indent:2 cert ^ "\n"

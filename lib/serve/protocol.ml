@@ -77,7 +77,7 @@ type response =
 
 (* One JSON object per line: serialize compact (indent 0 never emits a
    newline) and terminate with exactly one '\n'. *)
-let line v = J.to_string v ^ "\n"
+let line = J.to_line
 
 let greeting () =
   line
@@ -338,8 +338,11 @@ let encode_result_preescaped ~id ~coalesced ~escaped_payload =
   (* Byte-identical to [encode_response (Result ...)] with the payload
      escaping hoisted out, so a coalesced fan-out escapes one large
      payload once instead of once per requester (checked by test). *)
-  Printf.sprintf "{\"id\": %d,\"ok\": true,\"coalesced\": %b,\"payload\": \"%s\"}\n" id
-    coalesced escaped_payload
+  String.concat ""
+    [
+      "{\"id\": "; string_of_int id; ",\"ok\": true,\"coalesced\": "; string_of_bool coalesced;
+      ",\"payload\": \""; escaped_payload; "\"}\n";
+    ]
 
 let decode_response text =
   let ( let* ) = Result.bind in

@@ -31,3 +31,15 @@ let linspace ~lo ~hi ~n =
   if n < 2 then invalid_arg "Numeric.linspace: need n >= 2";
   let step = (hi -. lo) /. float_of_int (n - 1) in
   List.init n (fun i -> lo +. (float_of_int i *. step))
+
+let rec add_digits buf n =
+  if n >= 10 then add_digits buf (n / 10);
+  Buffer.add_char buf (Char.unsafe_chr (48 + (n mod 10)))
+
+let add_int buf n =
+  if n >= 0 then add_digits buf n
+  else if n = min_int then Buffer.add_string buf (string_of_int n)
+  else begin
+    Buffer.add_char buf '-';
+    add_digits buf (-n)
+  end

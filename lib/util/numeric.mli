@@ -26,3 +26,7 @@ val approx_equal : ?eps:float -> float -> float -> bool
 val linspace : lo:float -> hi:float -> n:int -> float list
 (** [n] evenly spaced values from [lo] to [hi] inclusive; requires
     [n >= 2]. *)
+
+val add_int : Buffer.t -> int -> unit
+(** Append [string_of_int n] to the buffer without allocating the
+    string — the serializers' integer fast path. *)

@@ -242,6 +242,67 @@ let test_codec_rejects () =
           (fun i l -> if i = 3 then l ^ " 17" else l)
           (String.split_on_char '\n' text)))
 
+(* A dump may carry reservation triples whose owner is the free marker
+   -1, alone or followed by a real owner on the same slot.  Decoding
+   accepts them; re-encoding must still write exactly as many triples
+   as its count says, the same bytes the line-builder oracle writes,
+   and decode again. *)
+let test_codec_free_owner_triples () =
+  let m =
+    let ucs = SD.d1 () in
+    map_exn ~groups:(List.mapi (fun i _ -> [ i ]) ucs) ucs
+  in
+  let text = encode_exn m in
+  let state = m.Mapping.states.(0) in
+  let links = Mesh.link_count (Resources.mesh state) in
+  let free_cells =
+    List.concat_map
+      (fun l ->
+        List.filter_map
+          (fun s -> if Noc_arch.Slot_table.is_free (Resources.table state l) s then Some (l, s) else None)
+          (List.init m.Mapping.config.Config.slots Fun.id))
+      (List.init links Fun.id)
+  in
+  let (l1, s1), (l2, s2) =
+    match free_cells with a :: b :: _ -> (a, b) | _ -> Alcotest.fail "need two free cells"
+  in
+  (* Splice extra triples into use-case 0's state line. *)
+  let splice extra =
+    String.concat "\n"
+      (List.map
+         (fun line ->
+           match String.split_on_char ' ' line with
+           | "state" :: "0" :: nis :: rest ->
+             let n = int_of_string nis in
+             let budgets = List.filteri (fun i _ -> i < n) rest in
+             let count, triples =
+               match List.filteri (fun i _ -> i >= n) rest with
+               | c :: t -> (int_of_string c, t)
+               | [] -> Alcotest.fail "state line without a count"
+             in
+             String.concat " "
+               ([ "state"; "0"; nis ] @ budgets
+               @ [ string_of_int (count + (List.length extra / 3)) ]
+               @ triples @ extra)
+           | _ -> line)
+         (String.split_on_char '\n' text))
+  in
+  let cell l s o = [ string_of_int l; string_of_int s; string_of_int o ] in
+  List.iter
+    (fun (what, extra) ->
+      match Codec.decode (splice extra) with
+      | Error e -> Alcotest.failf "%s: decode rejected the dump: %s" what e
+      | Ok m' ->
+        let re = encode_exn m' in
+        Alcotest.(check string) (what ^ ": oracle bytes") (Noc_oracle.Codec_oracle.encode m') re;
+        (match Codec.decode re with
+         | Ok m'' -> Alcotest.(check string) (what ^ ": stable") re (encode_exn m'')
+         | Error e -> Alcotest.failf "%s: re-encoded dump does not decode: %s" what e))
+    [
+      ("free owner", cell l1 s1 (-1));
+      ("free owner then a real one", cell l1 s1 (-1) @ cell l1 s1 5 @ cell l2 s2 (-1));
+    ]
+
 (* --- cached = fresh, property-tested over random specs ------------------- *)
 
 let small_params = { Syn.spread_params with cores = 8; flows_lo = 3; flows_hi = 8 }
@@ -269,6 +330,29 @@ let prop_cached_byte_identical =
       let warm = run ~cache () in
       let hits_after = (MC.stats ()).RC.memory_hits in
       String.equal fresh cold && String.equal cold warm && hits_after > hits_before)
+
+(* The buffer-writing encoder against the original line builders, on
+   the same 500-spec design distribution as the property above. *)
+let prop_codec_matches_oracle =
+  QCheck.Test.make ~name:"encode == line-builder oracle on cache-property designs" ~count:500
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let ucs = Syn.generate ~seed ~params:small_params ~use_cases:2 in
+      let groups = List.mapi (fun i _ -> [ i ]) ucs in
+      let was = MC.enabled () in
+      MC.set_enabled false;
+      let mapped = Mapping.map_design ~groups ucs in
+      MC.set_enabled was;
+      match mapped with
+      | Error _ -> true
+      | Ok m -> (
+        let oracle = Noc_oracle.Codec_oracle.encode m in
+        match Codec.encode m with
+        | Some text when String.equal text oracle -> true
+        | Some text ->
+          QCheck.Test.fail_reportf "seed %d: encode differs from the oracle (%d vs %d bytes)" seed
+            (String.length text) (String.length oracle)
+        | None -> QCheck.Test.fail_reportf "seed %d: plain-grid design not encoded" seed))
 
 (* Refutations recorded by a pruned run are replayed under --no-prune
    without changing the designed NoC. *)
@@ -387,6 +471,9 @@ let () =
         [
           Alcotest.test_case "round-trips real designs" `Quick test_codec_designs;
           Alcotest.test_case "rejects corrupt input" `Quick test_codec_rejects;
+          Alcotest.test_case "free-owner triples re-encode consistently" `Quick
+            test_codec_free_owner_triples;
+          qcheck prop_codec_matches_oracle;
         ] );
       ( "cached_equals_fresh",
         [

@@ -58,6 +58,22 @@ let test_static_bound_edge_cases () =
     (float_of_int (19 + 1 + 1) *. slot_ns)
     (C.static_bound_ns ~config ~slot_starts:[ 0; 12 ] ~hops:1)
 
+(* The gap-based worst wait against the original O(slots^2) scan, on
+   start sets with duplicates, negatives and values past the revolution. *)
+let prop_worst_wait_matches_scan =
+  QCheck.Test.make ~name:"worst_wait == brute-force scan" ~count:1000
+    QCheck.(
+      make
+        ~print:(fun (slots, starts) ->
+          Printf.sprintf "slots %d, starts [%s]" slots
+            (String.concat "; " (List.map string_of_int starts)))
+        Gen.(
+          int_range 1 70 >>= fun slots ->
+          list_size (int_range 1 12) (int_range (-3 * slots) (3 * slots)) >>= fun starts ->
+          return (slots, starts)))
+    (fun (slots, starts) ->
+      C.worst_wait ~slots starts = Noc_oracle.Gap_oracle.worst_wait ~slots starts)
+
 (* --- benchmarks certify clean ------------------------------------------- *)
 
 let test_benchmarks_certify_clean () =
@@ -76,7 +92,7 @@ let test_benchmarks_certify_clean () =
 let test_certificate_json_validates () =
   let d = must_run (DF.spec_of_use_cases ~name:"d1" (SD.d1 ())) in
   let cert = C.certify ~name:"d1" d.DF.mapping d.DF.all_use_cases in
-  (match Json.validate (Json.to_string ~indent:2 (C.to_json cert)) with
+  (match Json.validate (C.to_string ~indent:2 cert) with
   | Ok () -> ()
   | Error msg -> Alcotest.failf "certificate JSON invalid: %s" msg);
   (* The diagnostics view: one info summary, nothing else when clean. *)
@@ -164,6 +180,128 @@ let test_corrupted_dump_rejected () =
       (List.exists
          (fun (dg : D.t) -> dg.D.pass = "certify-slot-owner" && dg.D.severity = D.Error)
          (C.to_diagnostics cert))
+
+(* Slot-owner findings come out in claim order: the order the routes,
+   their starting slots and their hops claim (link, slot) cells.
+   Corrupt the recorded owners of two claimed cells on different links
+   and expect exactly those two findings, earlier claim first. *)
+let test_slot_owner_findings_in_claim_order () =
+  let d = must_run (DF.spec_of_use_cases ~name:"d1" (SD.d1 ())) in
+  let m = d.DF.mapping in
+  let slots = m.Mapping.config.Config.slots in
+  let claims_of uc =
+    List.concat_map
+      (fun (r : Route.t) ->
+        if r.Route.use_case <> uc || r.Route.service <> Route.Gt then []
+        else
+          List.concat_map
+            (fun start -> List.mapi (fun hop link -> (link, (start + hop) mod slots)) r.Route.links)
+            r.Route.slot_starts)
+      m.Mapping.routes
+  in
+  (* The later claim sits on a lower-numbered link, so neither link
+     order nor (link, slot) order reproduces claim order. *)
+  let uc, first, later =
+    let pair uc =
+      let rec scan = function
+        | [] -> None
+        | ((l0, _) as first) :: rest -> (
+          match List.find_opt (fun (l, _) -> l < l0) rest with
+          | Some later -> Some (uc, first, later)
+          | None -> scan rest)
+      in
+      scan (claims_of uc)
+    in
+    match List.find_map (fun u -> pair u.U.id) d.DF.all_use_cases with
+    | Some p -> p
+    | None -> Alcotest.fail "d1 has no use-case claiming a lower link after a higher one"
+  in
+  (* Bump the owner of the two cells on use-case [uc]'s state line:
+     "state uc nNI b.. nRes l s o ...". *)
+  let corrupt line =
+    let toks = Array.of_list (String.split_on_char ' ' line) in
+    if toks.(0) <> "state" || int_of_string toks.(1) <> uc then line
+    else begin
+      let res = 3 + int_of_string toks.(2) in
+      for k = 0 to int_of_string toks.(res) - 1 do
+        let at = res + 1 + (3 * k) in
+        let cell = (int_of_string toks.(at), int_of_string toks.(at + 1)) in
+        if cell = first || cell = later then
+          toks.(at + 2) <- string_of_int (int_of_string toks.(at + 2) + 1000)
+      done;
+      String.concat " " (Array.to_list toks)
+    end
+  in
+  let bad = String.concat "\n" (List.map corrupt (String.split_on_char '\n' (encode_exn m))) in
+  match Codec.decode bad with
+  | Error msg -> Alcotest.failf "corrupted dump must still decode, got: %s" msg
+  | Ok m' ->
+    let cert = C.certify ~name:"tampered" m' d.DF.all_use_cases in
+    let owners =
+      List.filter_map
+        (fun f -> if f.C.check = "slot-owner" then Some (f.C.use_case, f.C.link) else None)
+        cert.C.findings
+    in
+    Alcotest.(check (list (pair int int)))
+      "slot-owner findings in claim order"
+      [ (uc, fst first); (uc, fst later) ]
+      owners
+
+(* A dump may repeat a connection id.  The last route recorded under a
+   (use-case, flow id) decides for all of them whether they contribute
+   slot claims.  A malformed copy (a negative starting slot) placed
+   before a well-formed route therefore claims too, off the table at
+   slot -1; placed after it, it withdraws both routes' claims and the
+   table's reservations for the flow surface as orphans. *)
+let test_duplicate_route_last_decides () =
+  let d = must_run (DF.spec_of_use_cases ~name:"d1" (SD.d1 ())) in
+  let lines = String.split_on_char '\n' (encode_exn d.DF.mapping) in
+  (* "route fid uc src dst ssw dsw bw gt nLinks l.. nStarts s.." *)
+  let malformed line =
+    let toks = Array.of_list (String.split_on_char ' ' line) in
+    if Array.length toks < 10 || toks.(0) <> "route" || toks.(8) <> "gt" then None
+    else
+      let n_links = int_of_string toks.(9) in
+      let starts_at = 10 + n_links in
+      if n_links < 2 || int_of_string toks.(starts_at) < 1 then None
+      else begin
+        toks.(starts_at + 1) <- "-1";
+        Some (String.concat " " (Array.to_list toks))
+      end
+  in
+  let certify_with ~copy_first =
+    let injected = ref false in
+    let dump =
+      List.concat_map
+        (fun line ->
+          match String.split_on_char ' ' line with
+          | [ "routes"; n ] -> [ "routes " ^ string_of_int (int_of_string n + 1) ]
+          | _ -> (
+            match if !injected then None else malformed line with
+            | Some copy ->
+              injected := true;
+              if copy_first then [ copy; line ] else [ line; copy ]
+            | None -> [ line ]))
+        lines
+    in
+    if not !injected then Alcotest.fail "d1 has no multi-hop GT route to copy";
+    match Codec.decode (String.concat "\n" dump) with
+    | Error msg -> Alcotest.failf "dump with a repeated connection must decode, got: %s" msg
+    | Ok m ->
+      let cert = C.certify ~name:"repeated" m d.DF.all_use_cases in
+      let checks = List.map (fun f -> f.C.check) cert.C.findings in
+      Alcotest.(check bool) "malformed copy refuted" true (List.mem "slot-range" checks);
+      Alcotest.(check bool) "flow now has two connections" true (List.mem "route-exists" checks);
+      checks
+  in
+  let has id checks = List.mem id checks in
+  let first = certify_with ~copy_first:true in
+  Alcotest.(check bool) "copy first: its off-table claim is checked" true (has "slot-owner" first);
+  Alcotest.(check bool) "copy first: no orphans" false (has "orphan-slot" first);
+  let last = certify_with ~copy_first:false in
+  Alcotest.(check bool) "copy last: orphaned reservations" true (has "orphan-slot" last);
+  Alcotest.(check bool) "copy last: no claim checks" false
+    (has "slot-owner" last || has "slot-exclusivity" last)
 
 (* --- simulator cross-validation ------------------------------------------ *)
 
@@ -276,8 +414,8 @@ let prop_engines_certify_identically =
       let reference = C.certify ~name:"engines" (map Mapping.Reference) all in
       if not (C.clean indexed) then QCheck.Test.fail_reportf "seed %d: indexed not clean" seed;
       String.equal
-        (Json.to_string (C.to_json indexed))
-        (Json.to_string (C.to_json reference)))
+        (C.to_string indexed)
+        (C.to_string reference))
 
 (* --- shape refutations ---------------------------------------------------- *)
 
@@ -301,6 +439,7 @@ let () =
       ( "bound",
         [
           Alcotest.test_case "phase-analysis edge cases" `Quick test_static_bound_edge_cases;
+          qcheck prop_worst_wait_matches_scan;
           qcheck prop_bound_agrees_with_tdma_side;
         ] );
       ( "certificates",
@@ -312,6 +451,10 @@ let () =
             test_signature_detects_tampering;
           Alcotest.test_case "corrupted dump rejected per-link" `Quick
             test_corrupted_dump_rejected;
+          Alcotest.test_case "slot-owner findings in claim order" `Quick
+            test_slot_owner_findings_in_claim_order;
+          Alcotest.test_case "last duplicate route decides its claims" `Quick
+            test_duplicate_route_last_decides;
           Alcotest.test_case "wrong use-case list refuted" `Quick
             test_wrong_use_case_list_refuted;
         ] );

@@ -99,6 +99,91 @@ let prop_generated_json_always_valid =
       Json.validate (Json.to_string v) = Ok ()
       && Json.validate (Json.to_string ~indent:3 v) = Ok ())
 
+(* --- the streaming renderer against the original tree walker ------------- *)
+
+let tricky_char =
+  QCheck.Gen.(
+    frequency
+      [
+        (6, char_range 'a' 'z');
+        (2, oneofl [ '"'; '\\'; '\n'; '\r'; '\t'; '\000'; '\001'; '\031'; '\127'; '\255'; ' ' ]);
+        (1, map Char.chr (int_bound 255));
+      ])
+
+(* Mostly short strings, sometimes a payload-sized one. *)
+let tricky_string =
+  QCheck.Gen.(
+    frequency
+      [
+        (12, string_size ~gen:tricky_char (int_bound 24));
+        (1, string_size ~gen:tricky_char (int_range 4000 6000));
+      ])
+
+let tricky_float =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 3,
+          oneofl
+            [
+              0.0; -0.0; Float.nan; infinity; neg_infinity; 1e15; -1e15; 1e15 -. 1.0;
+              999999999999999.5; 0.1; -2.5; 1e-300; 5e-324; max_float; 4096.0; -4096.0;
+            ] );
+        (3, float);
+        (2, map float_of_int int);
+        (2, map (fun i -> float_of_int i /. 8.0) small_signed_int);
+      ])
+
+let tricky_int =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, small_signed_int);
+        (2, int);
+        (2, oneofl [ min_int; max_int; 0; -1; 4095; 4096; -4096; 9; 10 ]);
+        (2, int_range 4096 10_000_000);
+        (2, int_range (-10_000_000) (-1));
+      ])
+
+let json_tree =
+  QCheck.Gen.(
+    sized
+    @@ fix (fun self n ->
+           let leaf =
+             oneof
+               [
+                 return Json.Null;
+                 map (fun b -> Json.Bool b) bool;
+                 map (fun i -> Json.Int i) tricky_int;
+                 map (fun x -> Json.Float x) tricky_float;
+                 map (fun s -> Json.String s) tricky_string;
+               ]
+           in
+           if n <= 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 (1, map (fun items -> Json.List items) (list_size (int_bound 5) (self (n / 3))));
+                 ( 1,
+                   map
+                     (fun fields -> Json.Obj fields)
+                     (list_size (int_bound 5) (pair tricky_string (self (n / 3)))) );
+               ]))
+
+let prop_render_matches_oracle =
+  QCheck.Test.make ~name:"to_string == tree-walking oracle (indent 0 and 2)" ~count:500
+    (QCheck.make ~print:(fun v -> Noc_oracle.Json_oracle.to_string v) json_tree)
+    (fun v ->
+      String.equal (Json.to_string v) (Noc_oracle.Json_oracle.to_string v)
+      && String.equal (Json.to_string ~indent:2 v) (Noc_oracle.Json_oracle.to_string ~indent:2 v)
+      && String.equal (Json.to_line v) (Noc_oracle.Json_oracle.to_string v ^ "\n"))
+
+let prop_escape_matches_oracle =
+  QCheck.Test.make ~name:"escape == oracle escape" ~count:500
+    (QCheck.make ~print:String.escaped tricky_string)
+    (fun s -> String.equal (Json.escape s) (Noc_oracle.Json_oracle.escape s))
+
 (* --- design exports -------------------------------------------------------- *)
 
 let sample_design () =
@@ -120,8 +205,13 @@ let test_design_json_valid_and_complete () =
 let test_mapping_json_counts () =
   let d = sample_design () in
   let m = d.DF.mapping in
-  match Export.mapping m with
-  | Json.Obj fields ->
+  let exported =
+    match Json.parse (Export.design_to_string d) with
+    | Ok doc -> Json.member "mapping" doc
+    | Error msg -> Alcotest.fail msg
+  in
+  match exported with
+  | Some (Json.Obj fields) ->
     (match List.assoc "routes" fields with
     | Json.List routes ->
       Alcotest.(check int) "all routes exported" (List.length m.Noc_core.Mapping.routes)
@@ -157,7 +247,9 @@ let test_dot_use_case_heat () =
        false
      with Invalid_argument _ -> true)
 
-let qcheck_cases = List.map QCheck_alcotest.to_alcotest [ prop_generated_json_always_valid ]
+let qcheck_cases =
+  List.map QCheck_alcotest.to_alcotest
+    [ prop_generated_json_always_valid; prop_render_matches_oracle; prop_escape_matches_oracle ]
 
 let () =
   Alcotest.run "noc_export"
